@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BoundaryError, DomainError, ParameterSingularityError
 from .harmonics import _lm, as_vec3, regular_solid, ylm_table
 from .special import hyp2f1, pochhammer
-from .wigner import coupled_range, gaunt, gaunt_string
+from .wigner import gaunt, gaunt_string
 
 _SQRT4PI = math.sqrt(4.0 * math.pi)
 _FLOOR = 1e-300
@@ -128,88 +128,39 @@ def solid_harmonic_shift(idx, r, rp) -> complex:
 
 
 def laplace_expansion(r, rp, sign: int = 1, trunc: TruncationSpec = TruncationSpec()) -> AdditionResult:
-    """Two-range expansion of 1 / |r + sign*r'| in solid harmonics.
-
-    The inner sum couples conjugated regular solids of the smaller vector to
-    irregular solids of the larger; shell lambda scales as (r_</r_>)^lambda.
-    """
+    """Two-range expansion of 1 / |r + sign*r'|: the power expansion at nu = -1."""
     if sign not in (1, -1):
         raise DomainError("sign must be +1 or -1")
-    pair = SplitPair.from_vectors(r, rp)
-    rlt, rgt = pair.r_lt, pair.r_gt
-    nlt, ngt = math.sqrt(float(rlt @ rlt)), math.sqrt(float(rgt @ rgt))
-    lmax = trunc.l_max_outer
-    tab_lt = ylm_table(lmax, rlt[None, :] / max(nlt, 1e-300))[:, :, 0] if nlt > 0 else None
-    tab_gt = ylm_table(lmax, rgt[None, :] / ngt)[:, :, 0]
-    acc = _ShellAccumulator(trunc.tol)
-    parity = -1.0 if sign == 1 else 1.0
-    for lam in range(lmax + 1):
-        if nlt == 0.0 and lam > 0:
-            acc.add(lam, 0j)
-            if acc.converged:
-                break
-            continue
-        inner = 0j
-        for mu in range(-lam, lam + 1):
-            y_lt = (nlt**lam) * tab_lt[lam, mu + lmax] if nlt > 0 else (1.0 / _SQRT4PI if lam == 0 else 0.0)
-            z_gt = ngt ** (-lam - 1) * tab_gt[lam, mu + lmax]
-            inner += np.conj(y_lt) * z_gt
-        acc.add(lam, 4.0 * math.pi * parity**lam / (2 * lam + 1) * inner)
-        if acc.converged:
-            break
-    return acc.result()
+    return power_scalar_addition(-1.0, SplitPair.from_vectors(r, sign * as_vec3(rp)), trunc)
 
 
-def _check_nu_regular(nu: float, l: int):
-    r = round(nu)
-    if abs(nu - r) < 1e-12 and r % 2 == 0 and -2 * l <= r <= -2:
-        raise ParameterSingularityError(
-            f"power nu = {nu} makes the prefactor 1/(1+nu/2)_{l} singular"
-        )
-
-
-def power_scalar_addition(
-    nu: float, pair: SplitPair, trunc: TruncationSpec = TruncationSpec(), shells: list | None = None
-) -> AdditionResult:
+def power_scalar_addition(nu: float, pair: SplitPair, trunc: TruncationSpec = TruncationSpec()) -> AdditionResult:
     """Two-range expansion of |r_< + r_>|^nu (real power of the distance).
 
-    Shell lambda carries (-1)^lambda (-nu/2)_lambda / (3/2)_lambda, a Gauss
-    hypergeometric radial factor in (r_</r_>)^2, and the solid-harmonic pair.
-    For nu = 2n >= 0 the Pochhammer prefactor kills every shell beyond n and
-    the expansion is a terminating polynomial identity.
+    The l = 0 case of power_solid_addition, whose solid harmonic is the
+    constant 1/sqrt(4 pi).  For nu = 2n >= 0 every shell beyond n vanishes
+    and the expansion is a terminating polynomial identity.
     """
-    rlt, rgt = pair.r_lt, pair.r_gt
-    nlt, ngt = math.sqrt(float(rlt @ rlt)), math.sqrt(float(rgt @ rgt))
-    x2 = float(rlt @ rlt) / float(rgt @ rgt)
-    lmax = trunc.l_max_outer
-    tab_lt = ylm_table(lmax, rlt[None, :] / max(nlt, 1e-300))[:, :, 0] if nlt > 0 else None
-    tab_gt = ylm_table(lmax, rgt[None, :] / ngt)[:, :, 0]
-    acc = _ShellAccumulator(trunc.tol)
-    for lam in range(lmax + 1):
-        poch = pochhammer(-nu / 2.0, lam) / pochhammer(1.5, lam)
-        if poch == 0.0:
-            acc.add(lam, 0j)
-            if acc.converged:
-                break
-            continue
-        if nlt == 0.0 and lam > 0:
-            acc.add(lam, 0j)
-            if acc.converged:
-                break
-            continue
-        f21 = hyp2f1((2 * lam - nu) / 2.0, (-nu - 1) / 2.0, (2 * lam + 3) / 2.0, x2)
-        inner = 0j
-        for mu in range(-lam, lam + 1):
-            y_lt = (nlt**lam) * tab_lt[lam, mu + lmax] if nlt > 0 else (1.0 / _SQRT4PI if lam == 0 else 0.0)
-            z_gt = ngt ** (-lam - 1) * tab_gt[lam, mu + lmax]
-            inner += np.conj(y_lt) * z_gt
-        shell = 4.0 * math.pi * ngt ** (nu + 1) * (-1.0) ** lam * poch * f21 * inner
-        acc.add(lam, shell)
-        if shells is not None:
-            shells.append((lam, acc.value, abs(shell), acc.est_error))
-        if acc.converged:
-            break
-    return acc.result()
+    res = power_solid_addition(nu, (0, 0), pair, trunc)
+    return AdditionResult(_SQRT4PI * res.value, res.outer_l_used, _SQRT4PI * res.est_error, res.converged)
+
+
+def _radial_factor(nu: float, l: int, l1: int, l2: int, nlt: float, ngt: float, x2: float) -> float:
+    """The (l1, l2) term of power_solid_addition without its harmonics and Gaunt coefficient.
+
+    The second factor of the Pochhammer cluster, ((nu + 2*dl1 + 3)/2)_dl2, is
+    the one consistent with the operator-identity derivation and with direct
+    evaluation; the 2F1 in x2 = (r_</r_>)^2 terminates or converges.
+    """
+    dl = (l1 + l2 - l) // 2
+    dl1 = (l - l1 + l2) // 2
+    dl2 = (l + l1 - l2) // 2
+    poch_main = pochhammer(-l - nu / 2.0, l2) / pochhammer(1.5, l1)
+    cluster = pochhammer((nu - 2 * dl + 2) / 2.0, dl2) * pochhammer((nu + 2 * dl1 + 3) / 2.0, dl2)
+    if poch_main == 0.0 or cluster == 0.0:
+        return 0.0
+    f21 = hyp2f1((2 * dl - nu) / 2.0, (-2 * dl1 - nu - 1) / 2.0, (2 * l1 + 3) / 2.0, x2)
+    return (-1.0) ** l2 * poch_main * cluster * f21 * nlt**l1 * ngt ** (nu + 2 * dl1 + 1) * ngt ** (-l2 - 1)
 
 
 def power_solid_addition(
@@ -218,73 +169,45 @@ def power_solid_addition(
     pair: SplitPair,
     trunc: TruncationSpec = TruncationSpec(),
     shells: list | None = None,
-    alt_prefactor: bool = False,
 ) -> AdditionResult:
     """Two-range expansion of |r|^nu times the regular solid harmonic of r = r_< + r_>.
 
-    Outer shells run over the index attached to r_<; the inner index couples
-    it with (l, m) and multiplies a Pochhammer cluster, a terminating-or-
-    convergent 2F1 in (r_</r_>)^2, and an irregular solid of r_>.
-
-    The default radial prefactor cluster is the one consistent with the
-    operator-identity derivation and with direct evaluation,
-
-        ((nu - 2*dl + 2)/2)_q * ((nu + 2*dl1 + 3)/2)_q,   q = dl2.
-
-    ``alt_prefactor`` replaces the second factor with ((nu - 2*dl + 3)/2)_q,
-    a variant transcription that fails the direct-evaluation cross-check for
-    l >= 1; it is kept for diagnostic comparison only.
+    Outer shells run over the index l1 attached to r_<; the inner index l2
+    couples it with (l, m) through a Gaunt coefficient and carries the
+    radial factor of _radial_factor and a surface harmonic of r_>.  The
+    scalar and inverse-distance expansions are its l = 0 cases.  When given,
+    ``shells`` receives (l1, running value, |shell|, est_error) per shell.
     """
     idx = _lm(idx)
     l, m = idx.l, idx.m
-    _check_nu_regular(nu, l)
+    n = round(nu)
+    if abs(nu - n) < 1e-12 and n % 2 == 0 and -2 * l <= n <= -2:
+        raise ParameterSingularityError(f"power nu = {nu} makes the prefactor 1/(1+nu/2)_{l} singular")
     rlt, rgt = pair.r_lt, pair.r_gt
     nlt, ngt = math.sqrt(float(rlt @ rlt)), math.sqrt(float(rgt @ rgt))
     x2 = float(rlt @ rlt) / float(rgt @ rgt)
     lmax = trunc.l_max_outer
     l2_cap = lmax + l
-    tab_lt = ylm_table(lmax, rlt[None, :] / max(nlt, 1e-300))[:, :, 0] if nlt > 0 else None
-    tab_gt = ylm_table(l2_cap, rgt[None, :] / ngt)[:, :, 0]
+    # at r_< = 0 the factor |r_<|^l1 removes every l1 > 0 shell, so any direction serves
+    u_lt = rlt / nlt if nlt > 0 else np.array([0.0, 0.0, 1.0])
+    tab_lt = ylm_table(lmax, u_lt[None, :])[:, :, 0].conj().tolist()
+    tab_gt = ylm_table(l2_cap, rgt[None, :] / ngt)[:, :, 0].tolist()
     front = 4.0 * math.pi / pochhammer(1.0 + nu / 2.0, l)
     acc = _ShellAccumulator(trunc.tol)
     n_terms = 0
     for l1 in range(lmax + 1):
-        if nlt == 0.0 and l1 > 0:
-            acc.add(l1, 0j)
-            if acc.converged:
-                break
-            continue
+        rad = {l2: _radial_factor(nu, l, l1, l2, nlt, ngt, x2) for l2 in range(abs(l1 - l), l1 + l + 1, 2)}
         shell = 0j
-        for m1 in range(-l1, l1 + 1):
-            y_lt = (nlt**l1) * tab_lt[l1, m1 + lmax] if nlt > 0 else (1.0 / _SQRT4PI if l1 == 0 else 0.0)
-            if y_lt == 0.0:
-                continue
-            gstr = dict(gaunt_string(l1, m1, l, m))
-            for l2 in coupled_range(l1, m1, l, m):
-                g = gstr.get(l2, 0.0)
-                if g == 0.0:
+        if any(rad.values()):
+            for m1 in range(-l1, l1 + 1):
+                y_lt = tab_lt[l1][m1 + lmax]
+                if y_lt == 0.0:
                     continue
-                dl = (l1 + l2 - l) // 2
-                dl1 = (l - l1 + l2) // 2
-                dl2 = (l + l1 - l2) // 2
-                poch_main = pochhammer(-l - nu / 2.0, l2) / pochhammer(1.5, l1)
-                second = (nu - 2 * dl + 3) / 2.0 if alt_prefactor else (nu + 2 * dl1 + 3) / 2.0
-                cluster = pochhammer((nu - 2 * dl + 2) / 2.0, dl2) * pochhammer(second, dl2)
-                if poch_main == 0.0 or cluster == 0.0:
-                    continue
-                f21 = hyp2f1((2 * dl - nu) / 2.0, (-2 * dl1 - nu - 1) / 2.0, (2 * l1 + 3) / 2.0, x2)
-                z_gt = ngt ** (-l2 - 1) * tab_gt[l2, m + m1 + l2_cap]
-                shell += (
-                    np.conj(y_lt)
-                    * (-1.0) ** l2
-                    * g
-                    * poch_main
-                    * cluster
-                    * f21
-                    * ngt ** (nu + 2 * dl1 + 1)
-                    * z_gt
-                )
-                n_terms += 1
+                for l2, g in gaunt_string(l1, m1, l, m):
+                    if g == 0.0 or rad[l2] == 0.0:
+                        continue
+                    shell += y_lt * g * rad[l2] * tab_gt[l2][m + m1 + l2_cap]
+                    n_terms += 1
         acc.add(l1, front * shell)
         if shells is not None:
             shells.append((l1, acc.value, abs(front * shell), acc.est_error))

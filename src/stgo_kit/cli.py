@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", help="also write the JSON payload to this path")
     ap.add_argument("--tol", type=float, default=None, help="tolerance override")
     ap.add_argument("--seed", type=int, default=0, help="seed for randomized cases")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads for suites")
+    ap.add_argument("--threads", type=int, default=1, help="accepted and ignored; suites run in one thread")
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--json", default=argparse.SUPPRESS)
     shared.add_argument("--tol", type=float, default=argparse.SUPPRESS)

@@ -252,7 +252,8 @@ def spherical_bessel_j(l: int, x: float) -> float:
         for n in range(1, l):
             jm, j = j, (2 * n + 1) / x * j - jm
         return j
-    # Miller's algorithm: downward recurrence from a padded start, normalized by j0.
+    # Miller's algorithm: downward recurrence from a padded start, normalized by
+    # the larger of j0 and j1 (at a zero of one the other is near its extremum).
     start = l + int(2 * math.sqrt(ax) * ax / (ax + 1)) + 20
     jp, j = 0.0, 1e-30
     target = 0.0
@@ -265,4 +266,6 @@ def spherical_bessel_j(l: int, x: float) -> float:
             j *= 1e-250
             jp *= 1e-250
             target *= 1e-250
-    return target * (j0 / j)
+    if abs(j0) >= abs(j1):
+        return target * (j0 / j)
+    return target * (j1 / jp)

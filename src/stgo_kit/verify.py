@@ -370,10 +370,15 @@ def suite_addition(
             res = add.power_solid_addition(nu, (l, m), pair, add.TruncationSpec(30, 1e-13))
             want = np.linalg.norm(total) ** nu * regular_solid((l, m), total)
             cases.append(make_case(f"addition/terminating/nu={nu},l={l},m={m}", res.value, want, tol_terminating))
-    # nu = -1, l = 0 reproduces the inverse-distance expansion
+    # nu = -1, l = 0 reproduces the inverse-distance expansion; the Legendre
+    # series sum_k (-q)^k P_k(cos gamma) / |r_>| with q = |r_<|/|r_>| = 0.4 is
+    # an independent reference that uses no harmonics or Gaunt coefficients
     lap = add.laplace_expansion(r_lt, r_gt, 1, add.TruncationSpec(40, 1e-13))
     pw = add.power_scalar_addition(-1.0, pair, add.TruncationSpec(40, 1e-13))
-    cases.append(make_case("addition/laplace-consistency", pw.value, lap.value, tol_laplace))
+    n_lt, n_gt = np.linalg.norm(r_lt), np.linalg.norm(r_gt)
+    cos_g = float(r_lt @ r_gt) / (n_lt * n_gt)
+    legendre = np.polynomial.legendre.legval(cos_g, (-n_lt / n_gt) ** np.arange(60)) / n_gt
+    cases.append(make_case("addition/laplace-consistency", pw.value, legendre, tol_laplace))
     want = 1.0 / np.linalg.norm(total)
     cases.append(make_case("addition/laplace-direct", lap.value, want, tol_laplace))
     # finite solid-harmonic shift; draws near the nodal set of the target are
@@ -422,20 +427,16 @@ def _suite_kwargs(name: str, lmax: int | None) -> dict:
 def run_suite(
     name: str, seed: int = 0, threads: int = 1, tol: float | None = None, lmax: int | None = None
 ) -> VerifyReport:
-    """Run one named suite (or 'all'); tol overrides every case tolerance when given."""
+    """Run one named suite (or 'all'); tol overrides every case tolerance when given.
+
+    ``threads`` is accepted and ignored: the suites are pure Python, and a
+    thread pool measured no faster than one thread.
+    """
     t0 = time.perf_counter()
     if name == "all":
         cases = []
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                futures = [ex.submit(fn, seed, **_suite_kwargs(nm, lmax)) for nm, fn in SUITES.items()]
-                for fut in futures:
-                    cases.extend(fut.result())
-        else:
-            for nm, fn in SUITES.items():
-                cases.extend(fn(seed, **_suite_kwargs(nm, lmax)))
+        for nm, fn in SUITES.items():
+            cases.extend(fn(seed, **_suite_kwargs(nm, lmax)))
     elif name in SUITES:
         cases = SUITES[name](seed, **_suite_kwargs(name, lmax))
     else:

@@ -13,7 +13,6 @@ downwards; the two-sided launch is.
 from __future__ import annotations
 
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,41 +250,38 @@ def gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
 
 
 class _LruTable:
-    """Bounded memo table: safe for concurrent readers, serialized writers."""
+    """Bounded memo table with least-recently-used eviction (single-threaded)."""
 
     def __init__(self, maxsize: int = 4096):
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def get(self, key):
         value = self._data.get(key)
         if value is not None:
-            with self._lock:
-                self._data.move_to_end(key)
+            self._data.move_to_end(key)
         return value
 
     def put(self, key, value):
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
+        self._data[key] = value
+        self._data.move_to_end(key)
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
 
     def clear(self):
-        with self._lock:
-            self._data.clear()
+        self._data.clear()
 
 
 _gaunt_cache = _LruTable(4096)
 
 
-def gaunt_string(l1: int, m1: int, l2: int, m2: int) -> list:
+def gaunt_string(l1: int, m1: int, l2: int, m2: int) -> tuple:
     """All (l, <l m1+m2 | l1 m1 | l2 m2>) for l in the coupled range, via 3j strings.
 
     Both 3j factors vary in their third slot; cyclic invariance moves that slot
     first, so one Schulten-Gordon string per factor covers the whole range.
-    Results are memoized in a bounded LRU table keyed by (l1, m1, l2, m2).
+    Results are memoized in a bounded LRU table keyed by (l1, m1, l2, m2), as
+    tuples, so a caller cannot change what later calls return.
     """
     key = (l1, m1, l2, m2)
     cached = _gaunt_cache.get(key)
@@ -300,6 +296,7 @@ def gaunt_string(l1: int, m1: int, l2: int, m2: int) -> list:
     for l in rng:
         v = ((-1) ** m3) * pref * math.sqrt(2 * l + 1) * str0.get(l, 0.0) * strm.get(l, 0.0)
         out.append((l, v))
+    out = tuple(out)
     _gaunt_cache.put(key, out)
     return out
 

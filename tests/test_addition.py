@@ -125,6 +125,11 @@ def test_power_scalar_laplace_consistency(rng):
     res = power_scalar_addition(-1.0, pair, TruncationSpec(44, 1e-13))
     lap = laplace_expansion(pair.r_lt, pair.r_gt, 1, TruncationSpec(44, 1e-13))
     assert res.value == pytest.approx(lap.value, rel=1e-11)
+    # the Legendre series of the inverse distance uses no harmonics or Gaunt coefficients
+    nlt, ngt = np.linalg.norm(pair.r_lt), np.linalg.norm(pair.r_gt)
+    cos_g = float(pair.r_lt @ pair.r_gt) / (nlt * ngt)
+    legendre = np.polynomial.legendre.legval(cos_g, (-nlt / ngt) ** np.arange(60)) / ngt
+    assert res.value == pytest.approx(legendre, rel=1e-11)
 
 
 def test_power_solid_matches_direct(rng):
@@ -159,15 +164,29 @@ def test_power_solid_parameter_singularity(rng):
     assert res.value == pytest.approx(np.linalg.norm(total) ** -2.0, rel=1e-8)
 
 
-def test_power_solid_alt_prefactor_fails_cross_check(rng):
-    # the variant transcription of the radial cluster disagrees with direct
-    # evaluation for l >= 1; keep its residual on record
+def test_power_solid_alt_prefactor_fails_cross_check(rng, monkeypatch):
+    # the variant transcription of the radial cluster, with second factor
+    # ((nu - 2*dl + 3)/2)_q in place of ((nu + 2*dl1 + 3)/2)_q, disagrees with
+    # direct evaluation for l >= 1; keep its residual on record
+    import stgo_kit.addition as addition
+    from stgo_kit.special import hyp2f1, pochhammer
+
+    def alt_radial(nu, l, l1, l2, nlt, ngt, x2):
+        dl, dl1, dl2 = (l1 + l2 - l) // 2, (l - l1 + l2) // 2, (l + l1 - l2) // 2
+        poch_main = pochhammer(-l - nu / 2.0, l2) / pochhammer(1.5, l1)
+        cluster = pochhammer((nu - 2 * dl + 2) / 2.0, dl2) * pochhammer((nu - 2 * dl + 3) / 2.0, dl2)
+        if poch_main == 0.0 or cluster == 0.0:
+            return 0.0
+        f21 = hyp2f1((2 * dl - nu) / 2.0, (-2 * dl1 - nu - 1) / 2.0, (2 * l1 + 3) / 2.0, x2)
+        return (-1.0) ** l2 * poch_main * cluster * f21 * nlt**l1 * ngt ** (nu + 2 * dl1 + 1) * ngt ** (-l2 - 1)
+
     pair = make_pair(rng, 0.3)
     total = pair.r_lt + pair.r_gt
-    res_default = power_solid_addition(-1.0, (2, 1), pair, TruncationSpec(30, 1e-12))
-    res_alt = power_solid_addition(-1.0, (2, 1), pair, TruncationSpec(30, 1e-12), alt_prefactor=True)
     want = np.linalg.norm(total) ** -1.0 * regular_solid((2, 1), total)
+    res_default = power_solid_addition(-1.0, (2, 1), pair, TruncationSpec(30, 1e-12))
     assert res_default.value == pytest.approx(want, rel=1e-9)
+    monkeypatch.setattr(addition, "_radial_factor", alt_radial)
+    res_alt = power_solid_addition(-1.0, (2, 1), pair, TruncationSpec(30, 1e-12))
     alt_residual = abs(res_alt.value - want) / abs(want)
     assert alt_residual > 1e-3
 
@@ -211,6 +230,13 @@ def test_boundary_and_origin_edges():
     pair = SplitPair(np.zeros(3), np.array([0, 0, 1.0]))
     res = power_scalar_addition(-1.0, pair, TruncationSpec(10, 1e-12))
     assert res.value == pytest.approx(1.0, rel=1e-12)
+    # r_< = 0 leaves only the l1 = 0 shell of the solid expansion
+    r = np.array([0.3, -0.5, 0.8])
+    for nu in (-1.0, 1.5):
+        for (l, m) in [(1, 0), (2, 1), (3, -2)]:
+            res = power_solid_addition(nu, (l, m), SplitPair(np.zeros(3), r), TruncationSpec(10, 1e-12))
+            assert res.converged
+            assert res.value == pytest.approx(np.linalg.norm(r) ** nu * regular_solid((l, m), r), rel=1e-13)
 
 
 def test_translation_table_values():

@@ -267,6 +267,20 @@ def test_spherical_j5_frozen_from_series():
     assert spherical_bessel_j(5, 2.0) == pytest.approx(0.002635169770244117, rel=1e-11, abs=0)
 
 
+def test_spherical_j_at_zeros_of_j0_vs_mpmath():
+    # at x = k*pi, j0 vanishes and Miller's recurrence must be normalised by j1
+    mpmath = pytest.importorskip("mpmath")
+    for l in (5, 8, 12, 20, 40):
+        for k in range(1, l):
+            x = k * math.pi
+            if x >= l:
+                break
+            with mpmath.workdps(40):
+                xm = mpmath.mpf(x)
+                want = float(mpmath.sqrt(mpmath.pi / (2 * xm)) * mpmath.besselj(l + mpmath.mpf(1) / 2, xm))
+            assert spherical_bessel_j(l, x) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 @given(
     st.integers(min_value=0, max_value=8),
     st.floats(min_value=-4, max_value=4),

@@ -87,7 +87,7 @@ def test_gaunt_210_110_110_against_quadrature():
 
 
 def test_gaunt_string_examples(rng):
-    assert gaunt_string(0, 0, 0, 0) == [(0, pytest.approx(1 / SQ4PI, rel=1e-14))]
+    assert gaunt_string(0, 0, 0, 0) == ((0, pytest.approx(1 / SQ4PI, rel=1e-14)),)
     st11 = dict(gaunt_string(1, 1, 1, -1))
     assert set(st11) == {0, 2}
     st65 = dict(gaunt_string(6, 2, 5, -1))
@@ -170,3 +170,7 @@ def test_gaunt_string_cache_consistency():
     a = gaunt_string(4, 1, 3, -2)
     b = gaunt_string(4, 1, 3, -2)
     assert a == b
+    # the cached string cannot be written through a returned reference
+    with pytest.raises(TypeError):
+        a[0] = (99, 99.0)
+    assert gaunt_string(4, 1, 3, -2) == b
