@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +145,7 @@ class QuadratureGrid:
 
         Exact for spherical harmonics with l <= min(2 n_theta - 1, n_phi - 1).
         """
-        x, w = np.polynomial.legendre.leggauss(n_theta)
+        x, w = _gl_nodes(n_theta)
         phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
         ct = np.repeat(x, n_phi)
         st = np.sqrt(1.0 - ct * ct)
@@ -195,10 +196,19 @@ class HankelResult:
         return complex(self.value)
 
 
+@lru_cache(maxsize=None)
+def _gl_nodes(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], as read-only arrays shared by every caller."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _gl_panels(a: float, b: float, panel_width: float, nodes_per_panel: int):
     n_panels = max(1, int(math.ceil((b - a) / panel_width)))
     edges = np.linspace(a, b, n_panels + 1)
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    x, w = _gl_nodes(nodes_per_panel)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -253,7 +263,7 @@ def hankel_radial_ft(f_l, l: int, p: float, r_max: float = 60.0, n: int = 16) ->
     fv = _call_radial(f_l, pts)
     kernel = spherical_jl_array(l, p * pts) if p > 0 else (np.ones_like(pts) if l == 0 else np.zeros_like(pts))
     integrand = np.asarray(pts * pts * kernel * fv * wts, dtype=complex)
-    val = complex(math.fsum(integrand.real), math.fsum(integrand.imag))
+    val = complex(math.fsum(integrand.real.tolist()), math.fsum(integrand.imag.tolist()))
     # tail bound: |j_l| <= 1/(p r) for p r >= 1, else <= 1
     f_end = abs(complex(np.atleast_1d(_call_radial(f_l, np.array([r_max])))[0]))
     env = 1.0 / (p * r_max) if p * r_max > 1 else 1.0

@@ -1,13 +1,17 @@
 """Wigner 3jm symbols and Gaunt coefficients.
 
-Single symbols are evaluated through the Racah sum in exact rational
-arithmetic (value = sign * sqrt of a Fraction, one float conversion at the
-end), which makes them a machine-exact oracle.  Whole strings over the first
-angular momentum use the Schulten-Gordon three-term recurrence, launched from
-both ends of the range with Racah-seeded values, matched at the
-largest-magnitude overlap entry and rescaled by the orthogonality sum rule
-sum_l (2l+1) (3j)^2 = 1.  The recursion alone is neither stable upwards nor
-downwards; the two-sided launch is.
+Single symbols are exact: the Racah sum runs in Python integers over one
+common denominator, and the symbols with all m = 0 take their closed form
+(Schulten & Gordon, J. Math. Phys. 16 (1975) 1961).  Either way the squared
+value is one Fraction, converted to float once at the end, which makes them a
+machine-exact oracle.  Whole strings over the first angular momentum use the
+Schulten-Gordon three-term recurrence, launched from both ends of the range
+with Racah-seeded values, matched at the largest-magnitude overlap entry and
+rescaled by the orthogonality sum rule sum_l (2l+1) (3j)^2 = 1.  The
+recursion alone is neither stable upwards nor downwards; the two-sided launch
+is.  Gaunt strings take their zero-m factor from the closed form, return the
+constant Y_0^0 when one factor has l = 0, and are memoized in a 16384-entry
+LRU table.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from fractions import Fraction
 from .errors import DomainError
 
 _SQRT_PI = math.sqrt(math.pi)
+_Y00 = 0.5 / _SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,14 @@ def delta_quantities(l1: int, l2: int, l: int) -> DeltaQuantities:
 def _racah_exact(l1, l2, l3, m1, m2, m3):
     """3j symbol as (sign, squared value as Fraction); exact.
 
-    Cyclic rotation (an even permutation, value-preserving) puts the largest
-    angular momentum third, which minimizes the summation length l1 + l2 - l3.
+    All-zero m takes the closed form
+    (l1 l2 l3; 0 0 0)^2 = (2g-2l1)! (2g-2l2)! (2g-2l3)! / (2g+1)! * [g! / ((g-l1)! (g-l2)! (g-l3)!)]^2
+    with sign (-1)^g, 2g = l1 + l2 + l3 (zero for odd 2g).  Otherwise the
+    Racah sum runs in integers: every term is big // den over the common
+    denominator big, and consecutive terms differ by a ratio of three linear
+    factors.  Cyclic rotation (an even permutation, value-preserving) puts
+    the largest angular momentum third, which minimizes the summation length
+    l1 + l2 - l3.
     """
     if m1 + m2 + m3 != 0:
         return 0, Fraction(0)
@@ -107,35 +118,38 @@ def _racah_exact(l1, l2, l3, m1, m2, m3):
         return 0, Fraction(0)
     if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
         return 0, Fraction(0)
+    f = math.factorial
+    if m1 == 0 and m2 == 0:
+        two_g = l1 + l2 + l3
+        if two_g % 2:
+            return 0, Fraction(0)
+        g = two_g // 2
+        c = f(g) // (f(g - l1) * f(g - l2) * f(g - l3))
+        num = f(two_g - 2 * l1) * f(two_g - 2 * l2) * f(two_g - 2 * l3) * c * c
+        return (-1) ** g, Fraction(num, f(two_g + 1))
     while l3 < l1 or l3 < l2:
         l1, l2, l3 = l2, l3, l1
         m1, m2, m3 = m2, m3, m1
-    f = math.factorial
-    r = Fraction(f(l1 + l2 - l3) * f(l1 - l2 + l3) * f(-l1 + l2 + l3), f(l1 + l2 + l3 + 1))
-    r *= f(l1 + m1) * f(l1 - m1) * f(l2 + m2) * f(l2 - m2) * f(l3 + m3) * f(l3 - m3)
-    s = Fraction(0)
-    t_min = max(0, l2 - l3 - m1, l1 - l3 + m2)
-    t_max = min(l1 + l2 - l3, l1 - m1, l2 + m2)
+    # den(t) = t! (a+t)! (b+t)! (c-t)! (d-t)! (e-t)!
+    a, b, c, d, e = l3 - l2 + m1, l3 - l1 - m2, l1 + l2 - l3, l1 - m1, l2 + m2
+    t_min = max(0, -a, -b)
+    t_max = min(c, d, e)
+    big = f(t_max) * f(a + t_max) * f(b + t_max) * f(c - t_min) * f(d - t_min) * f(e - t_min)
+    term = big // (f(t_min) * f(a + t_min) * f(b + t_min) * f(c - t_min) * f(d - t_min) * f(e - t_min))
+    s = 0
     for t in range(t_min, t_max + 1):
-        den = (
-            f(t)
-            * f(l3 - l2 + t + m1)
-            * f(l3 - l1 + t - m2)
-            * f(l1 + l2 - l3 - t)
-            * f(l1 - t - m1)
-            * f(l2 - t + m2)
-        )
-        s += Fraction((-1) ** t, den)
-    if (l1 - l2 - m3) % 2:
-        s = -s
+        s += -term if t % 2 else term
+        term = term * (c - t) * (d - t) * (e - t) // ((t + 1) * (a + t + 1) * (b + t + 1))
     if s == 0:
         return 0, Fraction(0)
-    sign = 1 if s > 0 else -1
-    return sign, s * s * r
+    sign = 1 if (s > 0) == ((l1 - l2 - m3) % 2 == 0) else -1
+    r_num = f(c) * f(l1 - l2 + l3) * f(-l1 + l2 + l3) * f(l1 + m1) * f(l1 - m1) * f(l2 + m2) * f(l2 - m2)
+    r_num *= f(l3 + m3) * f(l3 - m3)
+    return sign, Fraction(s * s * r_num, big * big * f(l1 + l2 + l3 + 1))
 
 
 def wigner3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
-    """Single 3jm symbol via the exact-rational Racah sum; 0 on selection-rule failure."""
+    """Single exact 3jm symbol (integer Racah sum or zero-m closed form); 0 on selection-rule failure."""
     sign, sq = _racah_exact(l1, l2, l3, m1, m2, m3)
     if sign == 0:
         return 0.0
@@ -237,8 +251,7 @@ def gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
     """
     if min(l1, l2, l3) < 0 or abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
         return 0.0
-    q = GauntQuery(l1, m1, l2, m2, l3, m3)
-    if not q.selection_rules_ok():
+    if m3 != m1 + m2 or not abs(l1 - l2) <= l3 <= l1 + l2 or (l1 + l2 + l3) % 2:
         return 0.0
     s0, sq0 = _racah_exact(l1, l2, l3, 0, 0, 0)
     sm, sqm = _racah_exact(l1, l2, l3, m1, m2, -m3)
@@ -250,15 +263,25 @@ def gaunt(l1: int, m1: int, l2: int, m2: int, l3: int, m3: int) -> float:
 
 
 class _LruTable:
-    """Bounded memo table with least-recently-used eviction (single-threaded)."""
+    """Bounded memo table with least-recently-used eviction (single-threaded).
 
-    def __init__(self, maxsize: int = 4096):
+    Counts lookups that hit and miss, and entries evicted; clear() resets them.
+    """
+
+    def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._data: OrderedDict = OrderedDict()
+        self.hits = self.misses = self.evictions = 0
+
+    def __len__(self):
+        return len(self._data)
 
     def get(self, key):
         value = self._data.get(key)
-        if value is not None:
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
             self._data.move_to_end(key)
         return value
 
@@ -267,39 +290,43 @@ class _LruTable:
         self._data.move_to_end(key)
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)
+            self.evictions += 1
 
     def clear(self):
         self._data.clear()
+        self.hits = self.misses = self.evictions = 0
 
 
-_gaunt_cache = _LruTable(4096)
+# One verify pass stores 7 680 distinct keys and walks them cyclically; a
+# table smaller than that working set gets almost no hits.
+_gaunt_cache = _LruTable(16384)
 
 
 def gaunt_string(l1: int, m1: int, l2: int, m2: int) -> tuple:
-    """All (l, <l m1+m2 | l1 m1 | l2 m2>) for l in the coupled range, via 3j strings.
+    """All (l, <l m1+m2 | l1 m1 | l2 m2>) for l in the coupled range.
 
-    Both 3j factors vary in their third slot; cyclic invariance moves that slot
-    first, so one Schulten-Gordon string per factor covers the whole range.
-    Results are memoized in a bounded LRU table keyed by (l1, m1, l2, m2), as
-    tuples, so a caller cannot change what later calls return.
+    The zero-m 3j factor comes from its closed form; the other factor varies
+    in its third slot, and cyclic invariance moves that slot first, so one
+    Schulten-Gordon string covers the whole range.  A factor with l = 0 makes
+    the string the single constant Y_0^0 = 1/(2 sqrt(pi)), returned without a
+    table lookup.  Other results are memoized in a bounded LRU table keyed by
+    (l1, m1, l2, m2), as tuples, so a caller cannot change what later calls
+    return.
     """
+    if abs(m1) > l1 or abs(m2) > l2:
+        raise DomainError("|m| <= l required")
+    if l1 == 0 or l2 == 0:
+        return ((l1 + l2, _Y00),)
     key = (l1, m1, l2, m2)
     cached = _gaunt_cache.get(key)
     if cached is not None:
         return cached
-    rng = coupled_range(l1, m1, l2, m2)
     m3 = m1 + m2
-    str0 = dict(wigner3j_string(l1, l2, 0, 0))
     strm = dict(wigner3j_string(l1, l2, m1, m2))  # gives 3j(l, l1, l2; -m3, m1, m2)
     pref = math.sqrt((2 * l1 + 1) * (2 * l2 + 1) / (4.0 * math.pi))
-    out = []
-    for l in rng:
-        v = ((-1) ** m3) * pref * math.sqrt(2 * l + 1) * str0.get(l, 0.0) * strm.get(l, 0.0)
-        out.append((l, v))
-    out = tuple(out)
+    out = tuple(
+        (l, ((-1) ** m3) * pref * math.sqrt(2 * l + 1) * wigner3j(l, l1, l2, 0, 0, 0) * strm[l])
+        for l in coupled_range(l1, m1, l2, m2)
+    )
     _gaunt_cache.put(key, out)
     return out
-
-
-def gaunt_query(q: GauntQuery) -> float:
-    return gaunt(q.l1, q.m1, q.l2, q.m2, q.l3, q.m3)

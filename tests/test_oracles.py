@@ -10,6 +10,7 @@ from stgo_kit.findiff import fd_derivative, fd_stencil
 from stgo_kit.harmonics import regular_solid_poly, ylm, ylm_table
 from stgo_kit.oracles import (
     FDScheme,
+    _gl_nodes,
     QuadratureGrid,
     default_sphere_grid,
     fd_apply_operator,
@@ -161,6 +162,15 @@ def test_hankel_zero_momentum_higher_rank():
     f = lambda r: np.exp(-r)
     res = hankel_radial_ft(f, 2, 0.0, r_max=40.0)
     assert res.value == 0.0
+
+
+def test_gauss_legendre_node_cache_is_read_only():
+    x, w = _gl_nodes(12)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+    assert _gl_nodes(12)[1].sum() == pytest.approx(2.0, rel=1e-14)
 
 
 def test_hankel_round_trip():

@@ -1,6 +1,7 @@
 """Coupling coefficients: exact single symbols, recurrence strings, quadrature."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from stgo_kit.errors import DomainError
 from stgo_kit.harmonics import ylm_table
 from stgo_kit.oracles import QuadratureGrid
+from stgo_kit import verify
 from stgo_kit.wigner import (
     GauntQuery,
+    _gaunt_cache,
     coupled_range,
     delta_quantities,
     gaunt,
@@ -174,3 +177,109 @@ def test_gaunt_string_cache_consistency():
     with pytest.raises(TypeError):
         a[0] = (99, 99.0)
     assert gaunt_string(4, 1, 3, -2) == b
+
+
+def _racah_reference(l1, l2, l3, m1, m2, m3):
+    """(sign, squared value) of a 3j symbol: the Racah sum term by term in Fractions."""
+    if m1 + m2 + m3 != 0 or not abs(l1 - l2) <= l3 <= l1 + l2:
+        return 0, Fraction(0)
+    if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
+        return 0, Fraction(0)
+    f = math.factorial
+    t_min = max(0, l2 - l3 - m1, l1 - l3 + m2)
+    t_max = min(l1 + l2 - l3, l1 - m1, l2 + m2)
+    s = sum(
+        Fraction(
+            (-1) ** t,
+            f(t) * f(l3 - l2 + t + m1) * f(l3 - l1 + t - m2) * f(l1 + l2 - l3 - t) * f(l1 - t - m1) * f(l2 - t + m2),
+        )
+        for t in range(t_min, t_max + 1)
+    )
+    if s == 0:
+        return 0, Fraction(0)
+    r = Fraction(f(l1 + l2 - l3) * f(l1 - l2 + l3) * f(-l1 + l2 + l3), f(l1 + l2 + l3 + 1))
+    r *= f(l1 + m1) * f(l1 - m1) * f(l2 + m2) * f(l2 - m2) * f(l3 + m3) * f(l3 - m3)
+    sign = (1 if s > 0 else -1) * (-1 if (l1 - l2 - m3) % 2 else 1)
+    return sign, s * s * r
+
+
+def _reference_3j(l1, l2, l3, m1, m2, m3):
+    sign, sq = _racah_reference(l1, l2, l3, m1, m2, m3)
+    return sign * math.sqrt(float(sq)) if sign else 0.0
+
+
+def _reference_gaunt(l1, m1, l2, m2, l3, m3):
+    if m3 != m1 + m2:
+        return 0.0
+    s0, sq0 = _racah_reference(l1, l2, l3, 0, 0, 0)
+    sm, sqm = _racah_reference(l1, l2, l3, m1, m2, -m3)
+    if s0 == 0 or sm == 0:
+        return 0.0
+    mag = math.sqrt(float(sq0 * sqm * Fraction((2 * l1 + 1) * (2 * l2 + 1) * (2 * l3 + 1), 4)))
+    return s0 * sm * (-1) ** m3 * mag / math.sqrt(math.pi)
+
+
+def _exactness_sample():
+    """2 000 seeded symbols with l <= 40 (a fifth of them with m = 0), then every m = 0 triple with l <= 20."""
+    rng = np.random.default_rng(2005)
+    out = []
+    for k in range(2000):
+        l1, l2 = (int(v) for v in rng.integers(0, 41, size=2))
+        l3 = int(rng.integers(abs(l1 - l2), min(l1 + l2, 40) + 1)) if k % 10 else int(rng.integers(0, 41))
+        m1, m2 = (0, 0) if k % 5 == 0 else (int(rng.integers(-l1, l1 + 1)), int(rng.integers(-l2, l2 + 1)))
+        out.append((l1, l2, l3, m1, m2, -(m1 + m2)))
+    out += [(l1, l2, l3, 0, 0, 0) for l1 in range(21) for l2 in range(21) for l3 in range(21)]
+    return out
+
+
+def test_wigner3j_and_gaunt_bit_identical_to_fraction_racah():
+    n_nonzero = 0
+    for l1, l2, l3, m1, m2, m3 in _exactness_sample():
+        want = _reference_3j(l1, l2, l3, m1, m2, m3)
+        assert wigner3j(l1, l2, l3, m1, m2, m3).hex() == want.hex(), (l1, l2, l3, m1, m2, m3)
+        want = _reference_gaunt(l1, m1, l2, m2, l3, -m3)
+        assert float(gaunt(l1, m1, l2, m2, l3, -m3)).hex() == float(want).hex(), (l1, m1, l2, m2, l3, -m3)
+        n_nonzero += want != 0.0
+    assert n_nonzero > 3000
+
+
+def test_gaunt_string_with_l0_factor_is_y00_without_cache():
+    y00 = 1.0 / math.sqrt(4.0 * math.pi)
+    size, misses = len(_gaunt_cache), _gaunt_cache.misses
+    for l in range(121):
+        for m in range(-l, l + 1):
+            for args in ((l, m, 0, 0), (0, 0, l, m)):
+                ((l_out, v),) = gaunt_string(*args)
+                assert l_out == l
+                assert abs(v - y00) <= 1e-15 * y00
+    assert (len(_gaunt_cache), _gaunt_cache.misses) == (size, misses)
+    with pytest.raises(DomainError):
+        gaunt_string(3, 4, 0, 0)
+
+
+def test_gaunt_string_matches_per_entry_gaunt():
+    # The Schulten-Gordon factor is accurate to a few ulp of the string's
+    # largest entry (entries 1e-3 below it can be off by ~1e-12 relative), so
+    # the bound is 1e-14 of the largest |coefficient| in each string.
+    rng = np.random.default_rng(77)
+    for l1 in range(1, 26):
+        for l2 in range(1, 26):
+            m1 = int(rng.integers(-l1, l1 + 1))
+            m2 = int(rng.integers(-l2, l2 + 1))
+            string = gaunt_string(l1, m1, l2, m2)
+            want = [gaunt(l1, m1, l2, m2, l, m1 + m2) for l, _ in string]
+            scale = max(abs(w) for w in want)
+            for (l, v), w in zip(string, want):
+                assert abs(v - w) <= 1e-14 * scale, (l1, m1, l2, m2, l)
+
+
+def test_gaunt_cache_holds_the_verify_addition_working_set():
+    _gaunt_cache.clear()
+    verify.suite_addition(21)
+    assert _gaunt_cache.misses == len(_gaunt_cache) > 0 and _gaunt_cache.evictions == 0
+    hits, misses = _gaunt_cache.hits, _gaunt_cache.misses
+    verify.suite_addition(22)
+    assert _gaunt_cache.misses == misses and _gaunt_cache.evictions == 0
+    assert _gaunt_cache.hits > hits
+    _gaunt_cache.clear()
+    assert (_gaunt_cache.hits, _gaunt_cache.misses, _gaunt_cache.evictions, len(_gaunt_cache)) == (0, 0, 0, 0)
