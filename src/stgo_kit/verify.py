@@ -349,26 +349,14 @@ def suite_addition(
 ) -> list:
     rng = np.random.default_rng(seed)
     cases = []
-    # one pair serves every power and terminating case, so it is redrawn
-    # while r_< + r_> lies near the nodal set of any target (l <= 2), by the
-    # same rule as the shift draws below: there the shells are O(scale) and
-    # cancel, and the 1e-13 comparison would measure float64 roundoff
-    for _ in range(100):
-        d1 = rng.normal(size=3)
-        d1 /= np.linalg.norm(d1)
-        d2 = rng.normal(size=3)
-        d2 /= np.linalg.norm(d2)
-        r_lt = d1 * 0.52
-        r_gt = d2 * 1.3  # ratio 0.4
-        total = r_lt + r_gt
-        reach = np.linalg.norm(r_lt) + np.linalg.norm(r_gt)
-        if all(
-            abs(regular_solid((l, m), total)) >= 1e-2 * reach**l * math.sqrt((2 * l + 1) / (4 * math.pi))
-            for l in range(3)
-            for m in range(-l, l + 1)
-        ):
-            break
+    d1 = rng.normal(size=3)
+    d1 /= np.linalg.norm(d1)
+    d2 = rng.normal(size=3)
+    d2 /= np.linalg.norm(d2)
+    r_lt = d1 * 0.52
+    r_gt = d2 * 1.3  # ratio 0.4
     pair = add.SplitPair.from_vectors(r_lt, r_gt)
+    total = r_lt + r_gt
     tr = add.TruncationSpec(30, 1e-11)
     for nu in (-3.0, -1.0, 1.5):
         for l in range(3):

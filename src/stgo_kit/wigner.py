@@ -1,17 +1,16 @@
 """Wigner 3jm symbols and Gaunt coefficients.
 
 Single symbols are exact: the Racah sum runs in Python integers over one
-common denominator, and the symbols with all m = 0 take their closed form
-(Schulten & Gordon, J. Math. Phys. 16 (1975) 1961).  Either way the squared
-value is one Fraction, converted to float once at the end, which makes them a
-machine-exact oracle.  Whole strings over the first angular momentum use the
-Schulten-Gordon three-term recurrence, launched from both ends of the range
-with Racah-seeded values, matched at the largest-magnitude overlap entry and
-rescaled by the orthogonality sum rule sum_l (2l+1) (3j)^2 = 1.  The
-recursion alone is neither stable upwards nor downwards; the two-sided launch
-is.  Gaunt strings take their zero-m factor from the closed form, return the
-constant Y_0^0 when one factor has l = 0, and are memoized in a 16384-entry
-LRU table.
+common denominator and gives the squared value as one Fraction, converted to
+float once at the end, which makes them a machine-exact oracle.  Whole
+strings over the first angular momentum use the Schulten-Gordon three-term
+recurrence, launched from both ends of the range with Racah-seeded values,
+matched at the largest-magnitude overlap entry and rescaled by the
+orthogonality sum rule sum_l (2l+1) (3j)^2 = 1.  The recursion alone is
+neither stable upwards nor downwards; the two-sided launch is (Schulten &
+Gordon, J. Math. Phys. 16 (1975) 1961).  Gaunt strings take their zero-m
+factor from single symbols, return the constant Y_0^0 when one factor has
+l = 0, and are memoized in a 16384-entry LRU table.
 """
 
 from __future__ import annotations
@@ -103,10 +102,7 @@ def delta_quantities(l1: int, l2: int, l: int) -> DeltaQuantities:
 def _racah_exact(l1, l2, l3, m1, m2, m3):
     """3j symbol as (sign, squared value as Fraction); exact.
 
-    All-zero m takes the closed form
-    (l1 l2 l3; 0 0 0)^2 = (2g-2l1)! (2g-2l2)! (2g-2l3)! / (2g+1)! * [g! / ((g-l1)! (g-l2)! (g-l3)!)]^2
-    with sign (-1)^g, 2g = l1 + l2 + l3 (zero for odd 2g).  Otherwise the
-    Racah sum runs in integers: every term is big // den over the common
+    The Racah sum runs in integers: every term is big // den over the common
     denominator big, and consecutive terms differ by a ratio of three linear
     factors.  Cyclic rotation (an even permutation, value-preserving) puts
     the largest angular momentum third, which minimizes the summation length
@@ -119,14 +115,6 @@ def _racah_exact(l1, l2, l3, m1, m2, m3):
     if abs(m1) > l1 or abs(m2) > l2 or abs(m3) > l3:
         return 0, Fraction(0)
     f = math.factorial
-    if m1 == 0 and m2 == 0:
-        two_g = l1 + l2 + l3
-        if two_g % 2:
-            return 0, Fraction(0)
-        g = two_g // 2
-        c = f(g) // (f(g - l1) * f(g - l2) * f(g - l3))
-        num = f(two_g - 2 * l1) * f(two_g - 2 * l2) * f(two_g - 2 * l3) * c * c
-        return (-1) ** g, Fraction(num, f(two_g + 1))
     while l3 < l1 or l3 < l2:
         l1, l2, l3 = l2, l3, l1
         m1, m2, m3 = m2, m3, m1
@@ -149,7 +137,7 @@ def _racah_exact(l1, l2, l3, m1, m2, m3):
 
 
 def wigner3j(l1: int, l2: int, l3: int, m1: int, m2: int, m3: int) -> float:
-    """Single exact 3jm symbol (integer Racah sum or zero-m closed form); 0 on selection-rule failure."""
+    """Single exact 3jm symbol (integer Racah sum); 0 on selection-rule failure."""
     sign, sq = _racah_exact(l1, l2, l3, m1, m2, m3)
     if sign == 0:
         return 0.0
@@ -217,16 +205,16 @@ def _sg_string(l2: int, l3: int, m2: int, m3: int, l_min: int, l_max: int) -> li
     if norm > 0:
         scale = 1.0 / math.sqrt(norm)
         vals = [v * scale for v in vals]
-    # Entries far below the string maximum are recursion-noise-limited in a
-    # relative sense (their absolute error floor is ~1 ulp of the maximum);
-    # refresh those few from the exact single-symbol path.  The per-entry
-    # relative guarantee targets strings up to the l ~ 25 coupling range
-    # (length 51); very long strings skip the polish and stay
+    # The recurrence is accurate to a few ulp of the string maximum (2.4e-15
+    # at worst, measured), so an entry below 0.3 of the maximum may miss 1e-14
+    # relative; refresh those from the exact single-symbol path.  The
+    # per-entry relative guarantee targets strings up to the l ~ 25 coupling
+    # range (length 51); very long strings skip the polish and stay
     # recurrence-fast.
     if n <= 56:
         vmax = max(abs(v) for v in vals)
         for i, v in enumerate(vals):
-            if abs(v) < 1e-3 * vmax:
+            if abs(v) < 0.3 * vmax:
                 vals[i] = wigner3j(l_min + i, l2, l3, m1, m2, m3)
     return vals
 
@@ -305,7 +293,7 @@ _gaunt_cache = _LruTable(16384)
 def gaunt_string(l1: int, m1: int, l2: int, m2: int) -> tuple:
     """All (l, <l m1+m2 | l1 m1 | l2 m2>) for l in the coupled range.
 
-    The zero-m 3j factor comes from its closed form; the other factor varies
+    The zero-m 3j factor comes from single symbols; the other factor varies
     in its third slot, and cyclic invariance moves that slot first, so one
     Schulten-Gordon string covers the whole range.  A factor with l = 0 makes
     the string the single constant Y_0^0 = 1/(2 sqrt(pi)), returned without a

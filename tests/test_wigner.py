@@ -258,19 +258,14 @@ def test_gaunt_string_with_l0_factor_is_y00_without_cache():
 
 
 def test_gaunt_string_matches_per_entry_gaunt():
-    # The Schulten-Gordon factor is accurate to a few ulp of the string's
-    # largest entry (entries 1e-3 below it can be off by ~1e-12 relative), so
-    # the bound is 1e-14 of the largest |coefficient| in each string.
     rng = np.random.default_rng(77)
     for l1 in range(1, 26):
         for l2 in range(1, 26):
             m1 = int(rng.integers(-l1, l1 + 1))
             m2 = int(rng.integers(-l2, l2 + 1))
-            string = gaunt_string(l1, m1, l2, m2)
-            want = [gaunt(l1, m1, l2, m2, l, m1 + m2) for l, _ in string]
-            scale = max(abs(w) for w in want)
-            for (l, v), w in zip(string, want):
-                assert abs(v - w) <= 1e-14 * scale, (l1, m1, l2, m2, l)
+            for l, v in gaunt_string(l1, m1, l2, m2):
+                w = gaunt(l1, m1, l2, m2, l, m1 + m2)
+                assert abs(v - w) <= 1e-14 * abs(w), (l1, m1, l2, m2, l)
 
 
 def test_gaunt_cache_holds_the_verify_addition_working_set():
