@@ -15,7 +15,6 @@ from .errors import (
 )
 from .special import (
     Rational,
-    HypergeometricParams,
     bessel_polynomial_theta,
     double_factorial,
     hyp1f1_terminating,
@@ -37,8 +36,6 @@ from .harmonics import (
 )
 from .wigner import (
     CoupledRange,
-    DeltaQuantities,
-    GauntQuery,
     coupled_range,
     delta_quantities,
     gaunt,
@@ -59,7 +56,6 @@ from .stgo import (
     hobson_harmonic,
     laplacian_on_solid,
     leibniz,
-    scalar_expansion,
     stgo_product_linearize,
 )
 from .bfun import (

@@ -201,20 +201,13 @@ def convolve(a: BIndex, b: BIndex) -> BExpansion:
     return BExpansion(out).collected()
 
 
-@dataclass(frozen=True)
-class FunctionalResiduals:
-    """Relative residuals of the three momentum-space identities."""
+def b_fourier_functional_check(idx: BIndex, p) -> tuple[float, float, float]:
+    """Relative residuals (ladder, generator, constant) of the momentum identities at p.
 
-    ladder: float      # B~_n = [alpha^2/(alpha^2+p^2)] B~_{n-1}
-    generator: float   # B~_{n,l} = [(4 pi)^(1/2)/alpha^l] solid(-i p) B~_{n+l,0}
-    constant: float    # B~_{-1,0} = alpha^-3 (2 pi^2)^(-1/2)
-
-    def max(self) -> float:
-        return max(self.ladder, self.generator, self.constant)
-
-
-def b_fourier_functional_check(idx: BIndex, p) -> FunctionalResiduals:
-    """Direct substitution residuals of the momentum functional equations at p."""
+    ladder:    B~_n = [alpha^2/(alpha^2+p^2)] B~_{n-1}
+    generator: B~_{n,l} = [(4 pi)^(1/2)/alpha^l] solid(-i p) B~_{n+l,0}
+    constant:  B~_{-1,0} = alpha^-3 (2 pi^2)^(-1/2)
+    """
     v = as_vec3(p)
     alpha = idx.alpha
     p2 = float(v @ v)
@@ -232,4 +225,4 @@ def b_fourier_functional_check(idx: BIndex, p) -> FunctionalResiduals:
     base = b_fourier(BIndex(-1, 0, 0, alpha), v)
     want = alpha ** (-3.0) / math.sqrt(2.0 * math.pi**2)
     res_c = abs(base - want) / abs(want)
-    return FunctionalResiduals(res_a, res_b, res_c)
+    return res_a, res_b, res_c

@@ -10,7 +10,6 @@ to l ~ 20 and beyond.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -21,25 +20,6 @@ Rational = Fraction
 
 _SERIES_TOL = 1e-15
 _MAX_TERMS = 200_000
-
-
-@dataclass(frozen=True)
-class HypergeometricParams:
-    """Parameter block of a (terminating or convergent) hypergeometric series."""
-
-    upper: tuple
-    lower: tuple
-    argument: float
-
-    def __post_init__(self):
-        n_terminate = _termination_index(self.upper)
-        for b in self.lower:
-            if _is_nonpos_int(b):
-                k_pole = 1 - int(round(float(b)))  # series index where (b)_k first hits 0
-                if n_terminate is None or n_terminate >= k_pole:
-                    raise DomainError(
-                        f"lower parameter {b} is a non-positive integer not rescued by termination"
-                    )
 
 
 def _is_nonpos_int(x, tol: float = 1e-12) -> bool:

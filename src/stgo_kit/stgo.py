@@ -308,15 +308,6 @@ def leibniz(idx, f_terms: TensorExpansion, g_terms: TensorExpansion, form: int =
     return out.pruned()
 
 
-def scalar_term(profile: RadialProfile, coeff=1.0) -> TensorTerm:
-    """A rank-0 tensor term: coeff * profile(r) * Y_0^0."""
-    return TensorTerm(complex(coeff), profile, LMIndex(0, 0))
-
-
-def scalar_expansion(profile: RadialProfile, coeff=1.0) -> TensorExpansion:
-    return TensorExpansion([scalar_term(profile, coeff)])
-
-
 def as_scalar_expansion(profile: RadialProfile) -> TensorExpansion:
     """The plain rotation-invariant function phi(r), i.e. sqrt(4 pi) * phi * Y_0^0."""
-    return scalar_expansion(profile, math.sqrt(4.0 * math.pi))
+    return TensorExpansion([TensorTerm(complex(math.sqrt(4.0 * math.pi)), profile, LMIndex(0, 0))])

@@ -27,30 +27,6 @@ _Y00 = 0.5 / _SQRT_PI
 
 
 @dataclass(frozen=True)
-class GauntQuery:
-    """Index block of <l3 m3 | l1 m1 | l2 m2>; zero unless the selection rules hold."""
-
-    l1: int
-    m1: int
-    l2: int
-    m2: int
-    l3: int
-    m3: int
-
-    def __post_init__(self):
-        for l, m in ((self.l1, self.m1), (self.l2, self.m2), (self.l3, self.m3)):
-            if l < 0 or abs(m) > l:
-                raise DomainError(f"invalid (l, m) = ({l}, {m})")
-
-    def selection_rules_ok(self) -> bool:
-        if self.m3 != self.m1 + self.m2:
-            return False
-        if not abs(self.l1 - self.l2) <= self.l3 <= self.l1 + self.l2:
-            return False
-        return (self.l1 + self.l2 + self.l3) % 2 == 0
-
-
-@dataclass(frozen=True)
 class CoupledRange:
     """Allowed l values coupling (l1, m1) x (l2, m2): l_min..l_max in steps of two."""
 

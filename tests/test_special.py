@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from stgo_kit.errors import DomainError
 from stgo_kit.special import (
-    HypergeometricParams,
     bessel_polynomial_theta,
     double_factorial,
     hyp1f1_terminating,
@@ -121,9 +120,13 @@ def test_1f1_ill_defined_lower():
 
 
 def test_hypergeometric_params_validation():
+    # a non-positive integer lower parameter is a pole unless an upper
+    # parameter terminates the series first
     with pytest.raises(DomainError):
-        HypergeometricParams(upper=(0.5,), lower=(-1.0,), argument=0.3)
-    HypergeometricParams(upper=(-2.0,), lower=(-4.0,), argument=0.3)  # rescued
+        hyp2f1(0.5, 0.5, -1.0, 0.3)
+    # rescued: the series stops after k = 2, before (c)_k vanishes at k = 5
+    want = 1.0 + (-2.0 * 0.5) / (-4.0) * 0.3 + (-2.0 * -1.0 * 0.5 * 1.5) / (-4.0 * -3.0 * 2.0) * 0.3**2
+    assert hyp2f1(-2.0, 0.5, -4.0, 0.3) == pytest.approx(want, rel=1e-15)
 
 
 def test_2f1_trivial_and_paper_cases():

@@ -13,7 +13,6 @@ from stgo_kit.harmonics import ylm_table
 from stgo_kit.oracles import QuadratureGrid
 from stgo_kit import verify
 from stgo_kit.wigner import (
-    GauntQuery,
     _gaunt_cache,
     coupled_range,
     delta_quantities,
@@ -80,6 +79,9 @@ def test_gaunt_values():
     assert gaunt(1, 0, 1, 0, 3, 0) == 0.0  # triangle
     assert gaunt(2, 0, 2, 0, 3, 0) == 0.0  # parity
     assert gaunt(1, 1, 1, 0, 0, 1) == 0.0  # |m| > l treated as zero
+    assert gaunt(1, 2, 1, -1, 2, 1) == 0.0  # |m| > l in the first factor
+    # all rules hold: <2 0|1 1|1 -1> = 1/(2 sqrt(5 pi))
+    assert gaunt(1, 1, 1, -1, 2, 0) == pytest.approx(0.5 / math.sqrt(5 * math.pi), rel=1e-15)
 
 
 def test_gaunt_210_110_110_against_quadrature():
@@ -160,13 +162,6 @@ def test_delta_quantities_values():
     assert (d.delta_l, d.delta_l1, d.delta_l2, d.sigma_l) == (0, 1, 2, 3)
     with pytest.raises(DomainError):
         delta_quantities(2, 1, 2)
-
-
-def test_gaunt_query_type():
-    q = GauntQuery(1, 1, 1, -1, 2, 0)
-    assert q.selection_rules_ok()
-    with pytest.raises(DomainError):
-        GauntQuery(1, 2, 1, -1, 2, 0)
 
 
 def test_gaunt_string_cache_consistency():
